@@ -36,16 +36,19 @@ pub struct Outcome {
     pub wrong: u64,
 }
 
-/// Set-ups timed per run; the median is reported.
+/// Set-ups timed per run: at least `SETUPS`, and more until `SETUP_SPAN`
+/// has passed, so a set-up of a few ms is not timed in one short moment of
+/// a shared host. Each warms up with the same queries; the median is
+/// reported.
 const SETUPS: usize = 5;
+const SETUP_SPAN: Duration = Duration::from_secs(1);
 /// Answers completed in the first part of a closed loop are left out of
 /// its throughput: the window is still filling.
 const RAMP: Duration = Duration::from_millis(250);
-/// Unloaded writes timed after the measured phase (rec-large, rec-cluster).
-const WRITES_AFTER: usize = 60;
-/// Spreads those writes over a few seconds, so that their median does not
-/// hang on the host's speed in one short moment.
-const WRITE_GAP: Duration = Duration::from_millis(50);
+/// How long unloaded writes are timed after rec-cluster's measured phase.
+/// They run back to back: writes spaced by idle gaps each started from a
+/// cold host, and their median moved more between runs on a shared host.
+const WRITES_FOR: Duration = Duration::from_millis(3600);
 
 /// Each write timed until `update_entry` returned and until a private read
 /// of the written row returned the new bytes.
@@ -63,13 +66,52 @@ impl Writes {
         self.visible_ms.push(ms_since(issued, visible));
         self.wrong += u64::from(!read_back_ok);
     }
+
+    /// Write `bytes` to row `index` through `handle`, then read the row back
+    /// privately; the read must return the bytes at the version the write
+    /// created.
+    fn write_and_read_back(
+        &mut self,
+        handle: &ServeHandle,
+        truth: &Mutex<Truth>,
+        index: u64,
+        bytes: Vec<u8>,
+        tracer: &mut Tracer,
+    ) {
+        let version = truth
+            .lock()
+            .expect("truth")
+            .record_write(index, bytes.clone());
+        let issued = Instant::now();
+        handle
+            .update_entry(TABLE, index, &bytes)
+            .expect("update_entry");
+        let returned = Instant::now();
+        let (row, answered_at) = handle
+            .query(TABLE, TENANT, index)
+            .expect("admitted")
+            .wait_versioned()
+            .expect("read back");
+        let visible = Instant::now();
+        self.record(
+            issued,
+            returned,
+            visible,
+            answered_at == version && row == bytes,
+        );
+        if tracer.traces_at(issued) {
+            let span = tracer.record("write", 0, 0, issued, visible);
+            tracer.record("serve.update_entry", span, 0, issued, returned);
+        }
+    }
 }
 
-/// Build the stack `SETUPS` times, timing each build, and keep the last.
+/// Build the stack repeatedly, timing each build, and keep the last.
 fn set_up<T>(mut build: impl FnMut() -> T, mut tear_down: impl FnMut(T)) -> (f64, T) {
     let mut times = Vec::new();
     let mut kept = None;
-    for _ in 0..SETUPS {
+    let first = Instant::now();
+    while times.len() < SETUPS || first.elapsed() < SETUP_SPAN {
         if let Some(previous) = kept.take() {
             tear_down(previous);
         }
@@ -77,7 +119,13 @@ fn set_up<T>(mut build: impl FnMut() -> T, mut tear_down: impl FnMut(T)) -> (f64
         kept = Some(build());
         times.push(start.elapsed().as_secs_f64());
     }
-    println!("setup_s samples: {times:.4?}");
+    println!(
+        "setup_s samples: {}, quartiles {:.4} {:.4} {:.4}",
+        times.len(),
+        percentile(&times, 0.25),
+        median(&times),
+        percentile(&times, 0.75)
+    );
     (median(&times), kept.expect("at least one set-up"))
 }
 
@@ -388,23 +436,34 @@ const REC_LARGE_OPEN_SHARE: f64 = 0.5;
 
 pub fn rec_large(run: &Run, tracer: &mut Tracer) -> Outcome {
     let shape = REC_LARGE;
-    let truth = Truth::new(seeded_table(run.seed, shape.entries, shape.entry_bytes), 1);
+    let truth = Mutex::new(Truth::new(
+        seeded_table(run.seed, shape.entries, shape.entry_bytes),
+        1,
+    ));
     let mut rng = stream(run.seed, 1);
     let mut setup_wrong = 0;
     let (setup_s, runtime) = set_up(
         || {
             let runtime = tracer.time("setup.register_table", 0, || {
-                stack::runtime(truth.table().clone(), &shape, run.seed)
+                let table = truth.lock().expect("truth").table().clone();
+                stack::runtime(table, &shape, run.seed)
             });
             setup_wrong += tracer.time("setup.warm_up", 0, || {
-                warm_in_process(&runtime.handle(), &truth, shape.max_batch, &mut rng)
+                warm_in_process(
+                    &runtime.handle(),
+                    &truth.lock().expect("truth"),
+                    shape.max_batch,
+                    &mut stream(run.seed, 1),
+                )
             });
             runtime
         },
         |runtime: std::sync::Arc<PirServeRuntime>| runtime.shutdown(),
     );
     let handle = runtime.handle();
-    let verify = |index: u64, version: u64, row: &[u8]| truth.matches(index, version, row);
+    let verify = |index: u64, version: u64, row: &[u8]| {
+        truth.lock().expect("truth").matches(index, version, row)
+    };
 
     let open_for = Duration::from_secs_f64(run.seconds * REC_LARGE_OPEN_SHARE);
     let closed_for = Duration::from_secs_f64(run.seconds * (1.0 - REC_LARGE_OPEN_SHARE));
@@ -425,18 +484,38 @@ pub fn rec_large(run: &Run, tracer: &mut Tracer) -> Outcome {
         tracer,
     );
     let closed_interval = Interval::new(Instant::now(), closed_for, RAMP);
-    let closed = drive::in_process(
-        &handle,
-        Schedule::Closed {
-            window: REC_LARGE_WINDOW,
-            entries: shape.entries,
-            rng: stream(run.seed, 3),
-        },
-        &verify,
-        REC_LARGE_LIMIT_MS,
-        &closed_interval,
-        tracer,
-    );
+    let mut writer_tracer = tracer.fork();
+    let (closed, writes) = std::thread::scope(|scope| {
+        // One write at a time, each read back, beside the saturated reads.
+        // Unloaded, the read-back waits out the batching window on a timer,
+        // and on a 2-core host the two parties' threads then often wake on
+        // one core: the median jumped between about 6.6 and 9.3 ms from run
+        // to run. Under saturation the threads stay spread over the cores.
+        let writer = scope.spawn(|| {
+            let mut rows = stream(run.seed, 4);
+            let mut writes = Writes::default();
+            while Instant::now() < closed_interval.end {
+                let index = rows.gen_range(0..shape.entries);
+                let bytes = payload(&mut rows, shape.entry_bytes);
+                writes.write_and_read_back(&handle, &truth, index, bytes, &mut writer_tracer);
+            }
+            writes
+        });
+        let closed = drive::in_process(
+            &handle,
+            Schedule::Closed {
+                window: REC_LARGE_WINDOW,
+                entries: shape.entries,
+                rng: stream(run.seed, 3),
+            },
+            &verify,
+            REC_LARGE_LIMIT_MS,
+            &closed_interval,
+            tracer,
+        );
+        (closed, writer.join().expect("writer thread"))
+    });
+    tracer.absorb(writer_tracer);
     let (cpu_s, wall_s) = meter.read();
     let after = vec![runtime.stats()];
     let qps = closed.in_window as f64 / closed_interval.seconds();
@@ -451,36 +530,7 @@ pub fn rec_large(run: &Run, tracer: &mut Tracer) -> Outcome {
         closed.attempted
     );
 
-    // Unloaded writes, each read back at the version it created.
-    let mut truth = truth;
-    let mut rows = stream(run.seed, 4);
-    let mut writes = Writes::default();
-    for _ in 0..WRITES_AFTER {
-        std::thread::sleep(WRITE_GAP);
-        let index = rows.gen_range(0..shape.entries);
-        let bytes = payload(&mut rows, shape.entry_bytes);
-        let version = truth.record_write(index, bytes.clone());
-        let issued = Instant::now();
-        handle
-            .update_entry(TABLE, index, &bytes)
-            .expect("update_entry");
-        let returned = Instant::now();
-        let (row, answered_at) = handle
-            .query(TABLE, TENANT, index)
-            .expect("admitted")
-            .wait_versioned()
-            .expect("read back");
-        let visible = Instant::now();
-        writes.record(
-            issued,
-            returned,
-            visible,
-            answered_at == version && row == bytes,
-        );
-        let span = tracer.record("write", 0, 0, issued, visible);
-        tracer.record("serve.update_entry", span, 0, issued, returned);
-    }
-
+    let truth = truth.into_inner().expect("truth");
     let all = Phase::totals(&[&open, &closed]);
     let measured = Measured {
         latency: &closed,
@@ -532,7 +582,6 @@ pub fn hot_wire(run: &Run, tracer: &mut Tracer) -> Outcome {
     let verify = |index: u64, version: u64, row: &[u8]| {
         truth.lock().expect("truth").matches(index, version, row)
     };
-    let mut rng = stream(run.seed, 1);
     let mut setup_wrong = 0;
     let (setup_s, (node, mut session)) = set_up(
         || {
@@ -542,9 +591,12 @@ pub fn hot_wire(run: &Run, tracer: &mut Tracer) -> Outcome {
             let node = Node::start(runtime);
             let mut session = tracer.time("setup.connect", 0, || node.session(HOT_WINDOW));
             setup_wrong += tracer.time("setup.warm_up", 0, || {
-                warm_session(&mut session, HOT_WINDOW, &mut rng, &|index, row| {
-                    verify(index, 1, row)
-                })
+                warm_session(
+                    &mut session,
+                    HOT_WINDOW,
+                    &mut stream(run.seed, 1),
+                    &|index, row| verify(index, 1, row),
+                )
             });
             (node, session)
         },
@@ -578,31 +630,7 @@ pub fn hot_wire(run: &Run, tracer: &mut Tracer) -> Outcome {
                 // Rotating rows: a fixed odd stride visits every row.
                 let index = (first_row + k * 0x9E37) % shape.entries;
                 let bytes = payload(&mut payloads, shape.entry_bytes);
-                let version = truth
-                    .lock()
-                    .expect("truth")
-                    .record_write(index, bytes.clone());
-                let issued = Instant::now();
-                handle
-                    .update_entry(TABLE, index, &bytes)
-                    .expect("update_entry");
-                let returned = Instant::now();
-                let (row, answered_at) = handle
-                    .query(TABLE, TENANT, index)
-                    .expect("admitted")
-                    .wait_versioned()
-                    .expect("read back");
-                let visible = Instant::now();
-                writes.record(
-                    issued,
-                    returned,
-                    visible,
-                    answered_at == version && row == bytes,
-                );
-                if writer_tracer.traces_at(issued) {
-                    let span = writer_tracer.record("write", 0, 0, issued, visible);
-                    writer_tracer.record("serve.update_entry", span, 0, issued, returned);
-                }
+                writes.write_and_read_back(&handle, &truth, index, bytes, &mut writer_tracer);
             }
             writes
         });
@@ -689,9 +717,12 @@ pub fn rec_cluster(run: &Run, tracer: &mut Tracer) -> Outcome {
             });
             let mut session = tracer.time("setup.connect", 0, || cluster.session(CLUSTER_WINDOW));
             setup_wrong += tracer.time("setup.warm_up", 0, || {
-                warm_session(&mut session, CLUSTER_WINDOW, &mut rng, &|index, row| {
-                    verify(index, 0, row)
-                })
+                warm_session(
+                    &mut session,
+                    CLUSTER_WINDOW,
+                    &mut stream(run.seed, 1),
+                    &|index, row| verify(index, 0, row),
+                )
             });
             (cluster, session)
         },
@@ -726,8 +757,8 @@ pub fn rec_cluster(run: &Run, tracer: &mut Tracer) -> Outcome {
     // versions, so the read-back is checked against the written bytes.
     let mut rows = stream(run.seed, 4);
     let mut writes = Writes::default();
-    for _ in 0..WRITES_AFTER {
-        std::thread::sleep(WRITE_GAP);
+    let writes_end = Instant::now() + WRITES_FOR;
+    while Instant::now() < writes_end {
         let index = rows.gen_range(0..shape.entries);
         let bytes = payload(&mut rows, shape.entry_bytes);
         let issued = Instant::now();
