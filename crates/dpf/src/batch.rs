@@ -1,9 +1,6 @@
 //! Batched DPF execution on the simulated GPU (§3.2.1, §3.2.5).
 
-use gpu_sim::{
-    BlockContext, DeviceBackend, GpuExecutor, KernelReport, LaunchConfig, ResidentAllocation,
-    TransferSrc,
-};
+use gpu_sim::{BlockContext, GpuExecutor, KernelReport, LaunchConfig, ResidentAllocation};
 use pir_field::{AtomicLaneRows, LaneVector, ShareMatrix};
 use pir_prf::{GgmPrg, PrfKind};
 use serde::{Deserialize, Serialize};
@@ -145,22 +142,8 @@ impl<'a> BatchEvalJob<'a> {
         self.table.size_bytes() as u64 + keys + outputs
     }
 
-    /// Run the batch on the simulated GPU.
-    ///
-    /// Equivalent to [`BatchEvalJob::run_on`] with the executor's analytical
-    /// backend; kept for callers that hold a concrete [`GpuExecutor`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or any key addresses a domain larger than
-    /// the table.
-    pub fn run(&self, executor: &GpuExecutor) -> BatchEvalOutput {
-        self.run_on(executor)
-    }
-
-    /// Run the batch through the full [`DeviceBackend`] lifecycle with the
-    /// table streamed for this batch: allocate and upload the table, run,
-    /// free it again.
+    /// Run the batch on the simulated GPU with the table streamed for this
+    /// batch: allocate and upload the table, run, free it again.
     ///
     /// Servers whose memory plan keeps the table resident should hold the
     /// table allocation themselves and call [`BatchEvalJob::run_resident`]
@@ -170,16 +153,16 @@ impl<'a> BatchEvalJob<'a> {
     ///
     /// Panics if the batch is empty or any key addresses a domain larger than
     /// the table.
-    pub fn run_on(&self, backend: &dyn DeviceBackend) -> BatchEvalOutput {
-        let table_alloc = backend.alloc(self.table.size_bytes() as u64);
-        backend.upload_table(&table_alloc, table_payload(backend, self.table));
-        let output = self.run_resident(backend, &table_alloc);
-        backend.free(table_alloc);
+    pub fn run(&self, executor: &GpuExecutor) -> BatchEvalOutput {
+        let table_alloc = executor.alloc(self.table.size_bytes() as u64);
+        executor.upload_table(&table_alloc, table_alloc.bytes());
+        let output = self.run_resident(executor, &table_alloc);
+        executor.free(table_alloc);
         output
     }
 
     /// Run the batch against a table that is *already resident* on the
-    /// backend (uploaded into `table_alloc` by the caller's memory plan).
+    /// executor (uploaded into `table_alloc` by the caller's memory plan).
     /// Only the per-batch keys and outputs are allocated, transferred and
     /// freed here.
     ///
@@ -190,7 +173,7 @@ impl<'a> BatchEvalJob<'a> {
     /// sync with the table).
     pub fn run_resident(
         &self,
-        backend: &dyn DeviceBackend,
+        executor: &GpuExecutor,
         table_alloc: &ResidentAllocation,
     ) -> BatchEvalOutput {
         assert!(!self.keys.is_empty(), "batch must contain at least one key");
@@ -200,29 +183,24 @@ impl<'a> BatchEvalJob<'a> {
             "resident table allocation does not match the job's table"
         );
         match self.mapping {
-            GridMapping::BlockPerQuery => self.run_block_per_query(backend, table_alloc),
+            GridMapping::BlockPerQuery => self.run_block_per_query(executor, table_alloc),
             GridMapping::Cooperative { split_bits } => {
-                self.run_cooperative(backend, table_alloc, split_bits)
+                self.run_cooperative(executor, table_alloc, split_bits)
             }
         }
     }
 
     /// Allocate and upload this job's keys, returning the allocation.
-    fn upload_keys(&self, backend: &dyn DeviceBackend) -> ResidentAllocation {
+    fn upload_keys(&self, executor: &GpuExecutor) -> ResidentAllocation {
         let key_bytes: u64 = self.keys.iter().map(|k| k.size_bytes() as u64).sum();
-        let keys_alloc = backend.alloc(key_bytes);
-        if backend.stores_payloads() {
-            let staged: Vec<u8> = self.keys.iter().flat_map(DpfKey::to_bytes).collect();
-            backend.upload_keys(&keys_alloc, TransferSrc::Bytes(&staged));
-        } else {
-            backend.upload_keys(&keys_alloc, TransferSrc::Opaque(key_bytes));
-        }
+        let keys_alloc = executor.alloc(key_bytes);
+        executor.upload_keys(&keys_alloc, key_bytes);
         keys_alloc
     }
 
     fn run_block_per_query(
         &self,
-        backend: &dyn DeviceBackend,
+        executor: &GpuExecutor,
         table_alloc: &ResidentAllocation,
     ) -> BatchEvalOutput {
         let batch = self.keys.len();
@@ -237,14 +215,14 @@ impl<'a> BatchEvalJob<'a> {
         let prf_backend = self.prg.prf().backend_label();
         let kernel_name = format!("dpf_batch[{}|{prf_backend}]", self.strategy.label());
 
-        let keys_alloc = self.upload_keys(backend);
-        let out_alloc = backend.alloc(batch as u64 * lanes as u64 * 4);
+        let keys_alloc = self.upload_keys(executor);
+        let out_alloc = executor.alloc(batch as u64 * lanes as u64 * 4);
 
-        let mut report = backend.launch(
+        let mut report = executor.launch_resident(
             &kernel_name,
             config,
             &[table_alloc, &keys_alloc, &out_alloc],
-            &|block: &BlockContext<'_>| {
+            |block: &BlockContext<'_>| {
                 let index = block.block_index() as usize;
                 if index >= batch {
                     return;
@@ -275,9 +253,10 @@ impl<'a> BatchEvalJob<'a> {
             },
         );
 
-        let results = download_rows(backend, &out_alloc, rows.into_lane_vectors());
-        backend.free(out_alloc);
-        backend.free(keys_alloc);
+        executor.download(&out_alloc, out_alloc.bytes());
+        let results = rows.into_lane_vectors();
+        executor.free(out_alloc);
+        executor.free(keys_alloc);
 
         self.tag_report(&mut report, prf_backend);
         BatchEvalOutput { results, report }
@@ -285,7 +264,7 @@ impl<'a> BatchEvalJob<'a> {
 
     fn run_cooperative(
         &self,
-        backend: &dyn DeviceBackend,
+        executor: &GpuExecutor,
         table_alloc: &ResidentAllocation,
         split_bits: u32,
     ) -> BatchEvalOutput {
@@ -299,8 +278,8 @@ impl<'a> BatchEvalJob<'a> {
 
         // Keys and outputs for the whole batch are allocated once; the
         // per-key launches all run against the same three allocations.
-        let keys_alloc = self.upload_keys(backend);
-        let out_alloc = backend.alloc(self.keys.len() as u64 * lanes as u64 * 4);
+        let keys_alloc = self.upload_keys(executor);
+        let out_alloc = executor.alloc(self.keys.len() as u64 * lanes as u64 * 4);
 
         // Cooperative groups dedicate the whole device to one query at a time;
         // a batch is processed as a sequence of cooperative launches.
@@ -313,11 +292,11 @@ impl<'a> BatchEvalJob<'a> {
             // One disjoint partial row per cooperating block.
             let partials = AtomicLaneRows::new(subtrees.len(), lanes);
 
-            let report = backend.launch(
+            let report = executor.launch_resident(
                 &kernel_name,
                 config,
                 &[table_alloc, &keys_alloc, &out_alloc],
-                &|block: &BlockContext<'_>| {
+                |block: &BlockContext<'_>| {
                     let index = block.block_index() as usize;
                     if index >= subtrees.len() {
                         return;
@@ -341,12 +320,11 @@ impl<'a> BatchEvalJob<'a> {
                 },
             );
 
-            // The cross-block partial sum is the backend's reduction
-            // primitive, so both in-tree backends count (and perform) the
-            // same lane-wise wrapping adds.
+            // The cross-block partial sum is the executor's reduction
+            // primitive, so the ledger counts the lane-wise wrapping adds.
             let mut answer = LaneVector::zeroed(lanes);
             for partial in partials.into_lane_vectors() {
-                backend.reduce(&mut answer.0, &partial.0);
+                executor.reduce(&mut answer.0, &partial.0);
             }
             results.push(answer);
             // pir-lint: allow(secret-flow, "matches the report accumulator's Some/None state, which tracks the public batch position, not key bits")
@@ -356,9 +334,9 @@ impl<'a> BatchEvalJob<'a> {
             });
         }
 
-        let results = download_rows(backend, &out_alloc, results);
-        backend.free(out_alloc);
-        backend.free(keys_alloc);
+        executor.download(&out_alloc, out_alloc.bytes());
+        executor.free(out_alloc);
+        executor.free(keys_alloc);
 
         // pir-lint: allow(panic-path, "the eval loop above set it for every key; empty batches never reach eval")
         let mut report = merged.expect("batch is non-empty");
@@ -373,47 +351,6 @@ impl<'a> BatchEvalJob<'a> {
         report.prf_backend = prf_backend.to_string();
         report.frontier_tile =
             crate::tile::reported_frontier_tile(self.prg.prf().kind(), prf_backend);
-    }
-}
-
-/// The upload payload for a table: the real lane buffer for backends that
-/// store payloads, an accounted byte count otherwise.
-pub(crate) fn table_payload<'a>(
-    backend: &dyn DeviceBackend,
-    table: &'a ShareMatrix,
-) -> TransferSrc<'a> {
-    if backend.stores_payloads() {
-        TransferSrc::Lanes(table.lanes())
-    } else {
-        TransferSrc::Opaque(table.size_bytes() as u64)
-    }
-}
-
-/// Download `rows` out of `alloc`. A payload-storing backend round-trips the
-/// lanes through its staging buffer and the *downloaded* bytes are decoded
-/// into the returned rows — proving the copies are honest end to end. An
-/// accounting-only backend records the transfer and returns `rows` as-is.
-pub(crate) fn download_rows(
-    backend: &dyn DeviceBackend,
-    alloc: &ResidentAllocation,
-    rows: Vec<LaneVector>,
-) -> Vec<LaneVector> {
-    let flattened: Vec<u32> = rows.iter().flat_map(|row| row.0.iter().copied()).collect();
-    match backend.download(alloc, TransferSrc::Lanes(&flattened)) {
-        None => rows,
-        Some(bytes) => {
-            let mut decoded = Vec::with_capacity(rows.len());
-            let mut chunks = bytes.chunks_exact(4);
-            for row in &rows {
-                let lanes: Vec<u32> = chunks
-                    .by_ref()
-                    .take(row.0.len())
-                    .map(|chunk| u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
-                    .collect();
-                decoded.push(LaneVector(lanes));
-            }
-            decoded
-        }
     }
 }
 

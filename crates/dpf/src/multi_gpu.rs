@@ -1,53 +1,18 @@
 //! Multi-GPU sharding of a single DPF (§3.2.7).
 
-use gpu_sim::{
-    BlockContext, DeviceBackend, GpuExecutor, KernelReport, LaunchConfig, ResidentAllocation,
-    TransferSrc,
-};
+use gpu_sim::{BlockContext, GpuExecutor, KernelReport, LaunchConfig, ResidentAllocation};
 use pir_field::{AtomicLaneRows, LaneVector, ShareMatrix};
 use pir_prf::{GgmPrg, PrfKind};
 
-use crate::batch::download_rows;
 use crate::fusion::fused_eval_matmul_subtree;
 use crate::recorder::KernelRecorder;
 use crate::strategy::{EvalStrategy, Subtree};
 use crate::DpfKey;
 
-/// Borrow a slice of executors as backend trait objects, so the legacy
-/// `run(&[GpuExecutor])` entry points can delegate to the seam.
-fn as_backends(executors: &[GpuExecutor]) -> Vec<&dyn DeviceBackend> {
-    executors.iter().map(|e| e as &dyn DeviceBackend).collect()
-}
-
-/// Gather the table rows covered by `owned` subtrees into one contiguous
-/// lane buffer — the physical payload of a device's table-slice upload.
-fn gather_owned_lanes(table: &ShareMatrix, owned: &[Subtree], key: &DpfKey) -> Vec<u32> {
-    let mut lanes = Vec::new();
-    for subtree in owned {
-        let base = subtree.base_index(key);
-        let end = (base + subtree.leaf_count(key)).min(table.rows() as u64);
-        for row in base..end {
-            lanes.extend_from_slice(table.row(row as usize));
-        }
-    }
-    lanes
-}
-
-/// Allocate and upload one device's table slice covering `owned` subtrees.
-fn upload_owned_slice(
-    backend: &dyn DeviceBackend,
-    table: &ShareMatrix,
-    owned: &[Subtree],
-    key: &DpfKey,
-    slice_bytes: u64,
-) -> ResidentAllocation {
-    let alloc = backend.alloc(slice_bytes);
-    if backend.stores_payloads() {
-        let staged = gather_owned_lanes(table, owned, key);
-        backend.upload_table(&alloc, TransferSrc::Lanes(&staged));
-    } else {
-        backend.upload_table(&alloc, TransferSrc::Opaque(slice_bytes));
-    }
+/// Allocate and upload one device's table slice of `slice_bytes`.
+fn upload_slice(executor: &GpuExecutor, slice_bytes: u64) -> ResidentAllocation {
+    let alloc = executor.alloc(slice_bytes);
+    executor.upload_table(&alloc, slice_bytes);
     alloc
 }
 
@@ -122,31 +87,18 @@ impl<'a> MultiGpuEvalJob<'a> {
         }
     }
 
-    /// Run the job on the provided executors (one per simulated GPU).
-    ///
-    /// Equivalent to [`MultiGpuEvalJob::run_on`] over the executors'
-    /// analytical backends.
+    /// Run the job on the provided executors (one per simulated GPU): each
+    /// device allocates and uploads its table slice and the key, launches,
+    /// contributes its partial share through the executor's reduction
+    /// primitive, and frees its allocations.
     ///
     /// # Panics
     ///
     /// Panics if `executors` is empty or there are more devices than the
     /// domain can be split into.
     pub fn run(&self, executors: &[GpuExecutor]) -> MultiGpuOutput {
-        self.run_on(&as_backends(executors))
-    }
-
-    /// Run the job through the [`DeviceBackend`] lifecycle on one backend per
-    /// device: each device allocates and uploads its table slice and the key,
-    /// launches, contributes its partial share through the backend's
-    /// reduction primitive, and frees its allocations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty or there are more devices than the
-    /// domain can be split into.
-    pub fn run_on(&self, backends: &[&dyn DeviceBackend]) -> MultiGpuOutput {
-        assert!(!backends.is_empty(), "need at least one device");
-        let device_count = backends.len();
+        assert!(!executors.is_empty(), "need at least one device");
+        let device_count = executors.len();
         let split_bits = (device_count as u64).next_power_of_two().trailing_zeros();
         assert!(
             split_bits <= self.key.depth(),
@@ -159,7 +111,7 @@ impl<'a> MultiGpuEvalJob<'a> {
         let mut per_device = Vec::with_capacity(device_count);
         let mut result = LaneVector::zeroed(self.table.lanes_per_row());
 
-        for (device_index, backend) in backends.iter().enumerate() {
+        for (device_index, executor) in executors.iter().enumerate() {
             // Device g owns every subtree with index ≡ g (mod device_count).
             let owned: Vec<Subtree> = subtrees
                 .iter()
@@ -180,27 +132,19 @@ impl<'a> MultiGpuEvalJob<'a> {
             let slice_bytes = owned_rows(&owned, self.key, self.table.rows() as u64)
                 * self.table.lanes_per_row() as u64
                 * 4;
-            let slice_alloc =
-                upload_owned_slice(*backend, self.table, &owned, self.key, slice_bytes);
-            let key_alloc = backend.alloc(self.key.size_bytes() as u64);
-            if backend.stores_payloads() {
-                backend.upload_keys(&key_alloc, TransferSrc::Bytes(&self.key.to_bytes()));
-            } else {
-                backend.upload_keys(
-                    &key_alloc,
-                    TransferSrc::Opaque(self.key.size_bytes() as u64),
-                );
-            }
+            let slice_alloc = upload_slice(executor, slice_bytes);
+            let key_alloc = executor.alloc(self.key.size_bytes() as u64);
+            executor.upload_keys(&key_alloc, key_alloc.bytes());
             let config = LaunchConfig::linear(
                 self.blocks_per_device.min(owned.len() as u32 * 8).max(1),
                 self.threads_per_block,
             );
 
-            let report = backend.launch(
+            let report = executor.launch_resident(
                 &format!("dpf_multi_gpu[{device_index}]"),
                 config,
                 &[&slice_alloc, &key_alloc],
-                &|block: &BlockContext<'_>| {
+                |block: &BlockContext<'_>| {
                     let recorder = KernelRecorder::new(block, cycles);
                     // Blocks stripe over this device's subtrees.
                     let mut local = LaneVector::zeroed(self.table.lanes_per_row());
@@ -226,11 +170,11 @@ impl<'a> MultiGpuEvalJob<'a> {
                 },
             );
 
-            // The cross-device partial sum is the backend's reduction
-            // primitive — the same wrapping lane adds on every backend.
-            backend.reduce(&mut result.0, &partial.row(0).0);
-            backend.free(key_alloc);
-            backend.free(slice_alloc);
+            // The cross-device partial sum is the executor's reduction
+            // primitive, counted in its ledger.
+            executor.reduce(&mut result.0, &partial.row(0).0);
+            executor.free(key_alloc);
+            executor.free(slice_alloc);
             per_device.push(report);
         }
 
@@ -374,21 +318,8 @@ impl<'a> MultiGpuBatchEvalJob<'a> {
             .collect()
     }
 
-    /// Run the batch on the provided executors (one per simulated GPU).
-    ///
-    /// Equivalent to [`MultiGpuBatchEvalJob::run_on`] over the executors'
-    /// analytical backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch or the executor list is empty, or there are more
-    /// devices than the domain can be split into.
-    pub fn run(&self, executors: &[GpuExecutor]) -> MultiGpuBatchOutput {
-        self.run_on(&as_backends(executors))
-    }
-
-    /// Run the batch through the [`DeviceBackend`] lifecycle with every
-    /// device's table slice streamed for this batch: allocate, upload,
+    /// Run the batch on the provided executors (one per simulated GPU) with
+    /// every device's table slice streamed for this batch: allocate, upload,
     /// evaluate, free — per device.
     ///
     /// Servers whose memory plan keeps the slices resident should hold the
@@ -396,61 +327,43 @@ impl<'a> MultiGpuBatchEvalJob<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the batch or the backend list is empty, or there are more
+    /// Panics if the batch or the executor list is empty, or there are more
     /// devices than the domain can be split into.
-    pub fn run_on(&self, backends: &[&dyn DeviceBackend]) -> MultiGpuBatchOutput {
+    pub fn run(&self, executors: &[GpuExecutor]) -> MultiGpuBatchOutput {
         assert!(!self.keys.is_empty(), "batch must contain at least one key");
-        assert!(!backends.is_empty(), "need at least one device");
-        let device_count = backends.len();
-        let split_bits = (device_count as u64).next_power_of_two().trailing_zeros();
-        let subtrees = Subtree::split(&self.keys[0], split_bits.min(self.keys[0].depth()));
-        let sizes = self.slice_bytes(device_count);
-
-        let slices: Vec<ResidentAllocation> = backends
+        assert!(!executors.is_empty(), "need at least one device");
+        let sizes = self.slice_bytes(executors.len());
+        let slices: Vec<ResidentAllocation> = executors
             .iter()
-            .enumerate()
-            .map(|(device_index, backend)| {
-                let owned: Vec<Subtree> = subtrees
-                    .iter()
-                    .copied()
-                    .skip(device_index)
-                    .step_by(device_count)
-                    .collect();
-                upload_owned_slice(
-                    *backend,
-                    self.table,
-                    &owned,
-                    &self.keys[0],
-                    sizes[device_index],
-                )
-            })
+            .zip(sizes)
+            .map(|(executor, slice_bytes)| upload_slice(executor, slice_bytes))
             .collect();
         let slice_refs: Vec<&ResidentAllocation> = slices.iter().collect();
-        let output = self.run_resident(backends, &slice_refs);
-        for (backend, slice) in backends.iter().zip(slices) {
-            backend.free(slice);
+        let output = self.run_resident(executors, &slice_refs);
+        for (executor, slice) in executors.iter().zip(slices) {
+            executor.free(slice);
         }
         output
     }
 
     /// Run the batch against table slices that are *already resident*, one
-    /// per backend (uploaded by the caller's memory plan — see
+    /// per executor (uploaded by the caller's memory plan — see
     /// [`MultiGpuBatchEvalJob::slice_bytes`] for the expected sizes). Only
     /// per-batch keys and outputs are allocated, transferred and freed here.
     ///
     /// # Panics
     ///
-    /// Panics if the batch or backend list is empty, the domain cannot split
-    /// across the devices, or `slices` disagrees with the backends in length
-    /// or per-device size.
+    /// Panics if the batch or executor list is empty, the domain cannot
+    /// split across the devices, or `slices` disagrees with the executors in
+    /// length or per-device size.
     pub fn run_resident(
         &self,
-        backends: &[&dyn DeviceBackend],
+        executors: &[GpuExecutor],
         slices: &[&ResidentAllocation],
     ) -> MultiGpuBatchOutput {
         assert!(!self.keys.is_empty(), "batch must contain at least one key");
-        assert!(!backends.is_empty(), "need at least one device");
-        let device_count = backends.len();
+        assert!(!executors.is_empty(), "need at least one device");
+        let device_count = executors.len();
         assert_eq!(
             slices.len(),
             device_count,
@@ -487,7 +400,7 @@ impl<'a> MultiGpuBatchEvalJob<'a> {
         let mut per_device = Vec::with_capacity(device_count);
         let mut results = vec![LaneVector::zeroed(lanes); self.keys.len()];
 
-        for (device_index, backend) in backends.iter().enumerate() {
+        for (device_index, executor) in executors.iter().enumerate() {
             let owned_indices: Vec<usize> = (0..subtree_count)
                 .skip(device_index)
                 .step_by(device_count)
@@ -502,24 +415,19 @@ impl<'a> MultiGpuBatchEvalJob<'a> {
             let partials = AtomicLaneRows::new(self.keys.len(), lanes);
             // Per-batch allocations: the keys and one partial-share row per
             // key; the table slice is the caller's resident allocation.
-            let keys_alloc = backend.alloc(key_bytes);
-            if backend.stores_payloads() {
-                let staged: Vec<u8> = self.keys.iter().flat_map(DpfKey::to_bytes).collect();
-                backend.upload_keys(&keys_alloc, TransferSrc::Bytes(&staged));
-            } else {
-                backend.upload_keys(&keys_alloc, TransferSrc::Opaque(key_bytes));
-            }
-            let out_alloc = backend.alloc(self.keys.len() as u64 * lanes as u64 * 4);
+            let keys_alloc = executor.alloc(key_bytes);
+            executor.upload_keys(&keys_alloc, key_bytes);
+            let out_alloc = executor.alloc(self.keys.len() as u64 * lanes as u64 * 4);
             let config = LaunchConfig::linear(
                 self.blocks_per_device.min(work_items as u32).max(1),
                 self.threads_per_block,
             );
 
-            let report = backend.launch(
+            let report = executor.launch_resident(
                 &format!("dpf_multi_gpu_batch[{device_index}]"),
                 config,
                 &[slices[device_index], &keys_alloc, &out_alloc],
-                &|block: &BlockContext<'_>| {
+                |block: &BlockContext<'_>| {
                     let recorder = KernelRecorder::new(block, cycles);
                     let total_blocks = block.config().total_blocks();
                     for item in 0..work_items {
@@ -545,12 +453,12 @@ impl<'a> MultiGpuBatchEvalJob<'a> {
                 },
             );
 
-            let partial_rows = download_rows(*backend, &out_alloc, partials.into_lane_vectors());
-            for (result, partial) in results.iter_mut().zip(&partial_rows) {
-                backend.reduce(&mut result.0, &partial.0);
+            executor.download(&out_alloc, out_alloc.bytes());
+            for (result, partial) in results.iter_mut().zip(partials.into_lane_vectors()) {
+                executor.reduce(&mut result.0, &partial.0);
             }
-            backend.free(out_alloc);
-            backend.free(keys_alloc);
+            executor.free(out_alloc);
+            executor.free(keys_alloc);
             per_device.push(report);
         }
 

@@ -308,7 +308,7 @@ mod tests {
     use crate::scheduler::{Scheduler, SchedulerConfig};
     use crate::strategy::eval_full_domain;
     use crate::{eval_point, generate_keys, DpfParams, TableResidency};
-    use gpu_sim::{CostModel, DeviceBackend, DeviceSpec, GpuExecutor, HostBackend};
+    use gpu_sim::{CostModel, DeviceSpec, GpuExecutor};
     use pir_prf::{build_prf, PrfKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -430,155 +430,74 @@ mod tests {
 
     /// A simulated kernel launch over the frontier engine reports exactly the
     /// counters the per-node reference implies: PRF calls, global traffic and
-    /// peak memory of the `KernelReport` are unchanged by the rewrite.
+    /// peak memory of the `KernelReport` are unchanged by the rewrite, for
+    /// every PRF family and strategy. Every launch returns all of its
+    /// device allocations, single- and multi-device (3 devices over 4
+    /// subtrees).
     #[test]
     fn kernel_report_matches_reference_cost_model() {
-        let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
-        let mut rng = StdRng::seed_from_u64(99);
-        let rows = 500usize;
-        let lanes = 8usize;
-        let data: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
-        let table = ShareMatrix::from_rows(rows, lanes, data);
-        let params = DpfParams::for_domain(rows as u64);
-        let (key, _) = generate_keys(&prg, &params, 123, Ring128::ONE, &mut rng);
-        let keys = vec![key.clone()];
-
-        for strategy in STRATEGIES {
-            let reference = CountingRecorder::new();
-            let _ = reference_fused_eval_matmul(&prg, &key, &table, strategy, &reference);
-
-            let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
-            let job =
-                BatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table).with_strategy(strategy);
-            let out = job.run(&executor);
-
-            let what = format!("{strategy:?}");
-            assert_eq!(
-                out.report.counters.prf_calls,
-                reference.prf_calls_total(),
-                "{what}: report prf calls"
-            );
-            assert_eq!(
-                out.report.counters.global_read_bytes,
-                reference.read_bytes_total() + key.size_bytes() as u64,
-                "{what}: report read bytes (fused reads + streamed key)"
-            );
-            assert_eq!(
-                out.report.counters.global_write_bytes,
-                reference.write_bytes_total(),
-                "{what}: report write bytes"
-            );
-            assert_eq!(
-                out.report.peak_memory_bytes,
-                job.resident_bytes() + reference.peak_bytes(),
-                "{what}: report peak memory"
-            );
-        }
-    }
-
-    /// The host backend (real memcpys, wall-clock timing, no cost model) and
-    /// the simulated backend (analytical roofline) must be *functionally
-    /// indistinguishable*: for every PRF family and every strategy the same
-    /// [`BatchEvalJob`] yields bit-identical answer shares, an exactly-equal
-    /// [`gpu_sim::CounterSnapshot`], the same peak device memory, and the
-    /// same transfer/allocation ledger. Only the time attribution may differ.
-    #[test]
-    fn host_backend_matches_simulated_backend() {
         for kind in PrfKind::ALL {
             let prg = GgmPrg::new(build_prf(kind));
-            let mut rng = StdRng::seed_from_u64(0xBAC0 ^ kind as u64);
-            let rows = 300usize;
-            let lanes = 6usize;
+            let mut rng = StdRng::seed_from_u64(99);
+            let rows = 500usize;
+            let lanes = 8usize;
             let data: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
             let table = ShareMatrix::from_rows(rows, lanes, data);
             let params = DpfParams::for_domain(rows as u64);
-            let keys: Vec<DpfKey> = (0..3)
-                .map(|_| {
-                    let alpha = rng.gen_range(0..rows as u64);
-                    generate_keys(&prg, &params, alpha, Ring128::ONE, &mut rng).0
-                })
-                .collect();
+            let (key, _) = generate_keys(&prg, &params, 123, Ring128::ONE, &mut rng);
+            let keys = vec![key.clone()];
 
             for strategy in STRATEGIES {
-                let simulated = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
-                let host = HostBackend::with_host_threads(DeviceSpec::v100(), 1);
+                let reference = CountingRecorder::new();
+                let want = reference_fused_eval_matmul(&prg, &key, &table, strategy, &reference);
+
+                let executor = GpuExecutor::with_host_threads(DeviceSpec::v100(), 1);
                 let job = BatchEvalJob::new(&prg, kind, &keys, &table).with_strategy(strategy);
-                let sim_out = job.run_on(&simulated);
-                let host_out = job.run_on(&host);
+                let out = job.run(&executor);
 
                 let what = format!("{kind} {strategy:?}");
-                assert_eq!(sim_out.results, host_out.results, "{what}: answer shares");
+                assert_eq!(out.results, vec![want], "{what}: answer share");
                 assert_eq!(
-                    sim_out.report.counters, host_out.report.counters,
-                    "{what}: kernel counters"
+                    out.report.counters.prf_calls,
+                    reference.prf_calls_total(),
+                    "{what}: report prf calls"
                 );
                 assert_eq!(
-                    sim_out.report.peak_memory_bytes, host_out.report.peak_memory_bytes,
-                    "{what}: peak device memory"
+                    out.report.counters.global_read_bytes,
+                    reference.read_bytes_total() + key.size_bytes() as u64,
+                    "{what}: report read bytes (fused reads + streamed key)"
                 );
                 assert_eq!(
-                    sim_out.report.occupancy, host_out.report.occupancy,
-                    "{what}: occupancy"
+                    out.report.counters.global_write_bytes,
+                    reference.write_bytes_total(),
+                    "{what}: report write bytes"
                 );
-
-                let sim_stats = DeviceBackend::stats(&simulated);
-                let host_stats = DeviceBackend::stats(&host);
-                assert_eq!(sim_stats, host_stats, "{what}: backend transfer ledger");
                 assert_eq!(
-                    sim_stats.live_allocations(),
+                    out.report.peak_memory_bytes,
+                    job.resident_bytes() + reference.peak_bytes(),
+                    "{what}: report peak memory"
+                );
+                assert_eq!(
+                    executor.stats().live_allocations(),
                     0,
                     "{what}: leaked allocations"
                 );
             }
-        }
-    }
 
-    /// Multi-device sharding over the backend seam gets the same guarantee,
-    /// on a non-power-of-two device count (3 devices over 4 subtrees).
-    #[test]
-    fn host_backend_matches_simulated_backend_multi_device() {
-        let prg = GgmPrg::new(build_prf(PrfKind::SipHash));
-        let mut rng = StdRng::seed_from_u64(0x3B);
-        let rows = 1usize << 9;
-        let lanes = 4usize;
-        let data: Vec<u32> = (0..rows * lanes).map(|_| rng.gen()).collect();
-        let table = ShareMatrix::from_rows(rows, lanes, data);
-        let params = DpfParams::for_domain(rows as u64);
-        let keys: Vec<DpfKey> = (0..2)
-            .map(|_| {
-                let alpha = rng.gen_range(0..rows as u64);
-                generate_keys(&prg, &params, alpha, Ring128::ONE, &mut rng).0
-            })
-            .collect();
-
-        let simulated: Vec<GpuExecutor> = (0..3)
-            .map(|_| GpuExecutor::with_host_threads(DeviceSpec::v100(), 1))
-            .collect();
-        let hosts: Vec<HostBackend> = (0..3)
-            .map(|_| HostBackend::with_host_threads(DeviceSpec::v100(), 1))
-            .collect();
-        let sim_refs: Vec<&dyn DeviceBackend> =
-            simulated.iter().map(|e| e as &dyn DeviceBackend).collect();
-        let host_refs: Vec<&dyn DeviceBackend> =
-            hosts.iter().map(|h| h as &dyn DeviceBackend).collect();
-
-        let job = MultiGpuBatchEvalJob::new(&prg, PrfKind::SipHash, &keys, &table);
-        let sim_out = job.run_on(&sim_refs);
-        let host_out = job.run_on(&host_refs);
-
-        assert_eq!(sim_out.results, host_out.results, "answer shares");
-        assert_eq!(sim_out.per_device.len(), host_out.per_device.len());
-        for (sim, host) in sim_out.per_device.iter().zip(&host_out.per_device) {
-            assert_eq!(sim.counters, host.counters, "{}: kernel counters", sim.name);
-            assert_eq!(
-                sim.peak_memory_bytes, host.peak_memory_bytes,
-                "{}: peak device memory",
-                sim.name
-            );
-        }
-        for (sim, host) in sim_refs.iter().zip(&host_refs) {
-            assert_eq!(sim.stats(), host.stats(), "backend transfer ledger");
-            assert_eq!(sim.stats().live_allocations(), 0, "leaked allocations");
+            let devices: Vec<GpuExecutor> = (0..3)
+                .map(|_| GpuExecutor::with_host_threads(DeviceSpec::v100(), 1))
+                .collect();
+            let single = BatchEvalJob::new(&prg, kind, &keys, &table)
+                .run(&GpuExecutor::with_host_threads(DeviceSpec::v100(), 1));
+            let multi = MultiGpuBatchEvalJob::new(&prg, kind, &keys, &table).run(&devices);
+            assert_eq!(multi.results, single.results, "{kind}: 3-device shares");
+            for device in &devices {
+                assert_eq!(
+                    device.stats().live_allocations(),
+                    0,
+                    "{kind}: 3-device leaked allocations"
+                );
+            }
         }
     }
 

@@ -398,7 +398,7 @@ impl PlanCache {
 /// devices and how the residency decision is paying off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PlanLedger {
-    /// Bytes the backend currently reports allocated (resident table slices
+    /// Bytes the executor currently reports allocated (resident table slices
     /// between batches; includes in-flight batch buffers during a launch).
     pub resident_bytes: u64,
     /// Table uploads actually performed (first batch, post-reload refreshes,

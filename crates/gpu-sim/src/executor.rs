@@ -1,6 +1,7 @@
 //! Functional execution of kernels on a host thread pool.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::{
@@ -11,11 +12,9 @@ use crate::{
 /// Run every block of `config` over a pool of `host_threads` workers with a
 /// work-stealing index, recording into the shared `counters`/`memory`.
 ///
-/// Returns the host wall-clock seconds the sweep took. Both device backends
-/// share this exact loop — the analytical [`GpuExecutor`] and the measured
-/// [`crate::HostBackend`] — so their functional execution (and therefore
-/// every counter a kernel records) is identical by construction; only the
-/// time attribution differs.
+/// Returns the host wall-clock seconds the sweep took, which
+/// [`GpuExecutor`] reports as [`KernelReport::host_wall_time_s`] next to the
+/// modelled device time.
 pub(crate) fn run_blocks(
     config: LaunchConfig,
     host_threads: usize,
@@ -54,10 +53,10 @@ pub struct GpuExecutor {
     device: DeviceSpec,
     cost_model: CostModel,
     host_threads: usize,
-    /// Allocation/transfer ledger backing the [`crate::DeviceBackend`]
-    /// implementation; launches made through the plain inherent methods do
-    /// not touch it.
-    pub(crate) ledger: crate::backend::BackendLedger,
+    /// Allocation/transfer ledger behind the device-memory lifecycle
+    /// methods (`alloc` … `free`); plain [`GpuExecutor::launch`] calls do not
+    /// touch it.
+    pub(crate) ledger: Mutex<crate::backend::Ledger>,
 }
 
 impl GpuExecutor {
@@ -85,7 +84,7 @@ impl GpuExecutor {
             device,
             cost_model,
             host_threads,
-            ledger: crate::backend::BackendLedger::default(),
+            ledger: Mutex::default(),
         }
     }
 

@@ -15,6 +15,10 @@
 //!   (V100 by default) and the kernel's [`occupancy`] to estimate execution
 //!   time, throughput and utilization — the quantities plotted in the paper's
 //!   Figures 6, 8, 9, 13–15 and Tables 4–5.
+//! * **Device memory** — the executor also keeps the device-memory
+//!   [`backend`] ledger: explicit allocations, accounted host↔device
+//!   transfers and launches against resident allocations, which the memory
+//!   plans of the serving layers read back as telemetry.
 //!
 //! The same crate also provides the CPU cost model ([`device::CpuSpec`]) used
 //! for the Xeon baseline and the client-side key-generation latency estimate.
@@ -49,10 +53,7 @@ pub mod memory;
 pub mod occupancy;
 pub mod report;
 
-pub use backend::{
-    BackendKind, BackendStats, DeviceBackend, HostBackend, ResidentAllocation, TransferKind,
-    TransferSrc,
-};
+pub use backend::{BackendStats, ResidentAllocation, TransferKind};
 pub use cost::{CostModel, CpuCostModel, TimeBreakdown};
 pub use counters::{CounterSnapshot, KernelCounters};
 pub use device::{CpuSpec, DeviceSpec};

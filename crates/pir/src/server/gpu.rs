@@ -4,9 +4,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
-use gpu_sim::{
-    BackendKind, DeviceBackend, DeviceSpec, KernelReport, ResidentAllocation, TransferSrc,
-};
+use gpu_sim::{DeviceSpec, GpuExecutor, KernelReport, ResidentAllocation};
 use pir_dpf::{
     BatchEvalJob, DpfParams, PlanCache, PlanKey, PlanLedger, Scheduler, SchedulerConfig,
     TableResidency,
@@ -27,8 +25,7 @@ struct ResidentTable {
     generation: u64,
 }
 
-/// A PIR server that evaluates DPFs on a [`DeviceBackend`] (the analytical
-/// simulated GPU by default).
+/// A PIR server that evaluates DPFs on one simulated GPU ([`GpuExecutor`]).
 ///
 /// Every batch of queries is planned by the batch/table-size-aware
 /// [`Scheduler`] (§3.2.5), evaluated with the fused memory-bounded kernel
@@ -50,7 +47,7 @@ pub struct GpuPirServer {
     table: RwLock<PirTable>,
     prg: GgmPrg,
     prf_kind: PrfKind,
-    backend: Box<dyn DeviceBackend>,
+    executor: GpuExecutor,
     scheduler: Scheduler,
     metrics: Mutex<ServerMetrics>,
     last_report: Mutex<Option<KernelReport>>,
@@ -62,8 +59,7 @@ pub struct GpuPirServer {
 }
 
 impl GpuPirServer {
-    /// Create a server on a specific device with a specific scheduler,
-    /// evaluating on the analytical simulated backend.
+    /// Create a server on a specific device with a specific scheduler.
     #[must_use]
     pub fn new(
         table: PirTable,
@@ -71,30 +67,12 @@ impl GpuPirServer {
         device: DeviceSpec,
         scheduler_config: SchedulerConfig,
     ) -> Self {
-        Self::with_backend_kind(
-            table,
-            prf_kind,
-            device,
-            scheduler_config,
-            BackendKind::Simulated,
-        )
-    }
-
-    /// Create a server evaluating on an explicit [`BackendKind`].
-    #[must_use]
-    pub fn with_backend_kind(
-        table: PirTable,
-        prf_kind: PrfKind,
-        device: DeviceSpec,
-        scheduler_config: SchedulerConfig,
-        backend: BackendKind,
-    ) -> Self {
         Self {
             schema: table.schema(),
             table: RwLock::new(table),
             prg: GgmPrg::new(build_prf(prf_kind)),
             prf_kind,
-            backend: backend.build(device),
+            executor: GpuExecutor::new(device),
             scheduler: Scheduler::new(scheduler_config),
             metrics: Mutex::new(ServerMetrics::default()),
             last_report: Mutex::new(None),
@@ -134,12 +112,6 @@ impl GpuPirServer {
     #[must_use]
     pub fn last_report(&self) -> Option<KernelReport> {
         self.last_report.lock().clone()
-    }
-
-    /// The backend this server evaluates on (`"simulated"` or `"host"`).
-    #[must_use]
-    pub fn backend_name(&self) -> &str {
-        self.backend.name()
     }
 
     /// Build (or fetch from the plan cache) the memory plan for a batch of
@@ -187,7 +159,7 @@ impl GpuPirServer {
         let generation = self.table_generation.load(Ordering::Acquire);
         let matrix = table.matrix();
         let job = BatchEvalJob::new(&self.prg, self.prf_kind, &keys, matrix).with_plan(&plan);
-        let backend = self.backend.as_ref();
+        let executor = &self.executor;
         let output = if memory_plan.residency == TableResidency::Resident {
             // Held across the launch so a concurrent batch cannot free or
             // replace the allocation mid-flight.
@@ -197,28 +169,23 @@ impl GpuPirServer {
                 self.transfers_avoided.fetch_add(1, Ordering::Relaxed);
             } else {
                 if let Some(stale) = resident.take() {
-                    backend.free(stale.alloc);
+                    executor.free(stale.alloc);
                 }
-                let alloc = backend.alloc(matrix.size_bytes() as u64);
-                let src = if backend.stores_payloads() {
-                    TransferSrc::Lanes(matrix.lanes())
-                } else {
-                    TransferSrc::Opaque(matrix.size_bytes() as u64)
-                };
-                backend.upload_table(&alloc, src);
+                let alloc = executor.alloc(matrix.size_bytes() as u64);
+                executor.upload_table(&alloc, alloc.bytes());
                 self.transfers_issued.fetch_add(1, Ordering::Relaxed);
                 *resident = Some(ResidentTable { alloc, generation });
             }
             let held = resident.as_ref().expect("resident table just ensured");
-            job.run_resident(backend, &held.alloc)
+            job.run_resident(executor, &held.alloc)
         } else {
             // The plan says this batch's working set does not fit alongside a
             // resident table; release any stale residency and stream.
             if let Some(stale) = self.resident.lock().take() {
-                backend.free(stale.alloc);
+                executor.free(stale.alloc);
             }
             self.transfers_issued.fetch_add(1, Ordering::Relaxed);
-            job.run_on(backend)
+            job.run(executor)
         };
         drop(table);
 
@@ -273,7 +240,7 @@ impl PirServer for GpuPirServer {
 
     fn plan_ledger(&self) -> PlanLedger {
         PlanLedger {
-            resident_bytes: self.backend.stats().resident_bytes,
+            resident_bytes: self.executor.stats().resident_bytes,
             transfers_issued: self.transfers_issued.load(Ordering::Relaxed),
             transfers_avoided: self.transfers_avoided.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache.hits(),
@@ -287,8 +254,7 @@ impl std::fmt::Debug for GpuPirServer {
         f.debug_struct("GpuPirServer")
             .field("table", &self.schema.describe())
             .field("prf", &self.prf_kind)
-            .field("backend", &self.backend.name())
-            .field("device", &self.backend.device().name)
+            .field("device", &self.executor.device().name)
             .finish()
     }
 }
@@ -408,32 +374,6 @@ mod tests {
         let server: Box<dyn PirServer> =
             Box::new(GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash));
         assert_eq!(server.schema(), table.schema());
-    }
-
-    #[test]
-    fn host_backend_server_matches_simulated_server() {
-        let table = table();
-        let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let simulated = GpuPirServer::with_defaults(table.clone(), PrfKind::SipHash);
-        let host = GpuPirServer::with_backend_kind(
-            table.clone(),
-            PrfKind::SipHash,
-            DeviceSpec::v100(),
-            SchedulerConfig::default(),
-            gpu_sim::BackendKind::Host,
-        );
-        assert_eq!(host.backend_name(), "host");
-        assert_eq!(simulated.backend_name(), "simulated");
-        let mut rng = StdRng::seed_from_u64(75);
-
-        let indices = [0u64, 137, 299];
-        let queries: Vec<_> = indices.iter().map(|i| client.query(*i, &mut rng)).collect();
-        let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
-        let from_sim = simulated.answer_batch(&to0).unwrap();
-        let from_host = host.answer_batch(&to0).unwrap();
-        for (sim, host) in from_sim.iter().zip(&from_host) {
-            assert_eq!(sim.share, host.share, "shares must be backend-independent");
-        }
     }
 
     #[test]

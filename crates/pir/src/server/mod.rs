@@ -8,7 +8,7 @@ pub use cpu::{CpuBatchTiming, CpuPirServer};
 pub use gpu::GpuPirServer;
 pub use sharded::ShardedGpuServer;
 
-use gpu_sim::{BackendKind, DeviceSpec};
+use gpu_sim::DeviceSpec;
 use pir_dpf::{PlanLedger, SchedulerConfig};
 use pir_field::LaneVector;
 use pir_prf::PrfKind;
@@ -105,39 +105,20 @@ pub fn build_replica(
     shards: usize,
     scheduler: SchedulerConfig,
 ) -> Result<Box<dyn PirServer>, PirError> {
-    build_replica_with_backend(table, prf_kind, shards, scheduler, BackendKind::Simulated)
-}
-
-/// Like [`build_replica`], but evaluating on an explicit [`BackendKind`] —
-/// the analytical simulated device or the in-process host backend.
-///
-/// # Errors
-///
-/// Returns [`PirError::InvalidSharding`] if the table cannot be split across
-/// `shards` devices.
-pub fn build_replica_with_backend(
-    table: &PirTable,
-    prf_kind: PrfKind,
-    shards: usize,
-    scheduler: SchedulerConfig,
-    backend: BackendKind,
-) -> Result<Box<dyn PirServer>, PirError> {
     shard_split_bits(table.entries(), shards)?;
     if shards > 1 {
-        Ok(Box::new(ShardedGpuServer::with_backend_kind(
+        Ok(Box::new(ShardedGpuServer::new(
             table.clone(),
             prf_kind,
             vec![DeviceSpec::v100(); shards],
             scheduler,
-            backend,
         )?))
     } else {
-        Ok(Box::new(GpuPirServer::with_backend_kind(
+        Ok(Box::new(GpuPirServer::new(
             table.clone(),
             prf_kind,
             DeviceSpec::v100(),
             scheduler,
-            backend,
         )))
     }
 }
@@ -264,7 +245,7 @@ pub trait PirServer: Send + Sync {
     }
 
     /// Memory-plan telemetry accumulated since the server was created:
-    /// backend-reported resident bytes, table transfers issued/avoided, and
+    /// executor-reported resident bytes, table transfers issued/avoided, and
     /// plan-cache hit counters. Servers without a device memory plan report
     /// an empty ledger.
     fn plan_ledger(&self) -> PlanLedger {

@@ -13,19 +13,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
-use gpu_sim::{BackendKind, DeviceBackend, DeviceSpec, ResidentAllocation, TransferSrc};
+use gpu_sim::{DeviceSpec, GpuExecutor, ResidentAllocation};
 use pir_dpf::{
     DpfParams, MultiGpuBatchEvalJob, PlanCache, PlanKey, PlanLedger, Scheduler, SchedulerConfig,
     TableResidency,
 };
-use pir_field::ShareMatrix;
 use pir_prf::{build_prf, GgmPrg, PrfKind};
 
 use crate::error::PirError;
 use crate::message::{PirResponse, ServerQuery};
 use crate::server::{
-    check_schema, responses_from_shares, shard_owned_ranges, validate_update, PirServer,
-    ServerMetrics,
+    check_schema, responses_from_shares, validate_update, PirServer, ServerMetrics,
 };
 use crate::table::{PirTable, TableSchema};
 
@@ -36,8 +34,8 @@ struct ResidentShards {
     generation: u64,
 }
 
-/// A GPU PIR server spread across several devices (one [`DeviceBackend`]
-/// per shard).
+/// A GPU PIR server spread across several devices (one [`GpuExecutor`] per
+/// shard).
 ///
 /// Like [`GpuPirServer`](crate::GpuPirServer), the table sits behind an
 /// `RwLock` so [`PirServer::update_entry`] hot reloads are atomic with
@@ -49,7 +47,7 @@ pub struct ShardedGpuServer {
     table: RwLock<PirTable>,
     prg: GgmPrg,
     prf_kind: PrfKind,
-    backends: Vec<Box<dyn DeviceBackend>>,
+    executors: Vec<GpuExecutor>,
     scheduler: Scheduler,
     metrics: Mutex<ServerMetrics>,
     plan_cache: PlanCache,
@@ -59,21 +57,8 @@ pub struct ShardedGpuServer {
     transfers_avoided: AtomicU64,
 }
 
-/// Gather the lanes of the rows a shard owns, in subtree order — the upload
-/// payload for that shard's table slice.
-fn shard_slice_lanes(matrix: &ShareMatrix, ranges: &[std::ops::Range<u64>]) -> Vec<u32> {
-    let mut lanes = Vec::new();
-    for range in ranges {
-        for row in range.clone() {
-            lanes.extend_from_slice(matrix.row(row as usize));
-        }
-    }
-    lanes
-}
-
 impl ShardedGpuServer {
-    /// Create a server over an explicit list of devices, evaluating on the
-    /// analytical simulated backend.
+    /// Create a server over an explicit list of devices.
     ///
     /// # Errors
     ///
@@ -86,34 +71,11 @@ impl ShardedGpuServer {
         devices: Vec<DeviceSpec>,
         scheduler_config: SchedulerConfig,
     ) -> Result<Self, PirError> {
-        Self::with_backend_kind(
-            table,
-            prf_kind,
-            devices,
-            scheduler_config,
-            BackendKind::Simulated,
-        )
-    }
-
-    /// Create a server over an explicit list of devices with an explicit
-    /// [`BackendKind`] for every shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PirError::InvalidSharding`] under the same conditions as
-    /// [`ShardedGpuServer::new`].
-    pub fn with_backend_kind(
-        table: PirTable,
-        prf_kind: PrfKind,
-        devices: Vec<DeviceSpec>,
-        scheduler_config: SchedulerConfig,
-        backend: BackendKind,
-    ) -> Result<Self, PirError> {
         crate::server::shard_split_bits(table.entries(), devices.len())?;
         Ok(Self {
             prg: GgmPrg::new(build_prf(prf_kind)),
             prf_kind,
-            backends: devices.into_iter().map(|d| backend.build(d)).collect(),
+            executors: devices.into_iter().map(GpuExecutor::new).collect(),
             scheduler: Scheduler::new(scheduler_config),
             metrics: Mutex::new(ServerMetrics::default()),
             schema: table.schema(),
@@ -149,7 +111,7 @@ impl ShardedGpuServer {
     /// The number of devices the table is sharded over.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        self.backends.len()
+        self.executors.len()
     }
 
     /// Build (or fetch from the plan cache) the memory plan for a batch of
@@ -161,7 +123,7 @@ impl ShardedGpuServer {
             row_bytes,
             key_bytes: DpfParams::for_domain(self.schema.entries).key_size_bytes(),
             batch: batch.max(1),
-            devices: self.backends.len(),
+            devices: self.executors.len(),
         };
         self.plan_cache.get_or_build(key, || {
             self.scheduler.memory_plan(
@@ -176,25 +138,13 @@ impl ShardedGpuServer {
 
     /// Allocate and upload one resident table slice per shard, sized exactly
     /// as the memory plan (and the batch job) expect.
-    fn upload_resident_slices(
-        &self,
-        matrix: &ShareMatrix,
-        plan: &pir_dpf::MemoryPlan,
-    ) -> Vec<ResidentAllocation> {
-        let ranges = shard_owned_ranges(self.schema.entries, self.backends.len())
-            .expect("sharding was validated at construction");
-        self.backends
+    fn upload_resident_slices(&self, plan: &pir_dpf::MemoryPlan) -> Vec<ResidentAllocation> {
+        self.executors
             .iter()
             .zip(&plan.devices)
-            .zip(&ranges)
-            .map(|((backend, device_plan), owned)| {
-                let alloc = backend.alloc(device_plan.table_bytes);
-                if backend.stores_payloads() {
-                    let lanes = shard_slice_lanes(matrix, owned);
-                    backend.upload_table(&alloc, TransferSrc::Lanes(&lanes));
-                } else {
-                    backend.upload_table(&alloc, TransferSrc::Opaque(device_plan.table_bytes));
-                }
+            .map(|(executor, device_plan)| {
+                let alloc = executor.alloc(device_plan.table_bytes);
+                executor.upload_table(&alloc, device_plan.table_bytes);
                 alloc
             })
             .collect()
@@ -256,9 +206,7 @@ impl PirServer for ShardedGpuServer {
         let job = MultiGpuBatchEvalJob::new(&self.prg, self.prf_kind, &keys, matrix)
             .with_strategy(plan.strategy)
             .with_threads_per_block(plan.threads_per_block);
-        let backend_refs: Vec<&dyn DeviceBackend> =
-            self.backends.iter().map(AsRef::as_ref).collect();
-        let shards = self.backends.len() as u64;
+        let shards = self.executors.len() as u64;
         let output = if memory_plan.residency == TableResidency::Resident {
             // Held across the launch so a concurrent batch cannot free or
             // replace the slices mid-flight.
@@ -268,27 +216,27 @@ impl PirServer for ShardedGpuServer {
                 self.transfers_avoided.fetch_add(shards, Ordering::Relaxed);
             } else {
                 if let Some(stale) = resident.take() {
-                    for (backend, alloc) in self.backends.iter().zip(stale.allocs) {
-                        backend.free(alloc);
+                    for (executor, alloc) in self.executors.iter().zip(stale.allocs) {
+                        executor.free(alloc);
                     }
                 }
-                let allocs = self.upload_resident_slices(matrix, &memory_plan);
+                let allocs = self.upload_resident_slices(&memory_plan);
                 self.transfers_issued.fetch_add(shards, Ordering::Relaxed);
                 *resident = Some(ResidentShards { allocs, generation });
             }
             let held = resident.as_ref().expect("resident slices just ensured");
             let slice_refs: Vec<&ResidentAllocation> = held.allocs.iter().collect();
-            job.run_resident(&backend_refs, &slice_refs)
+            job.run_resident(&self.executors, &slice_refs)
         } else {
             // The plan says this batch's working set does not fit alongside
             // resident slices; release any stale residency and stream.
             if let Some(stale) = self.resident.lock().take() {
-                for (backend, alloc) in self.backends.iter().zip(stale.allocs) {
-                    backend.free(alloc);
+                for (executor, alloc) in self.executors.iter().zip(stale.allocs) {
+                    executor.free(alloc);
                 }
             }
             self.transfers_issued.fetch_add(shards, Ordering::Relaxed);
-            job.run_on(&backend_refs)
+            job.run(&self.executors)
         };
         drop(table);
         let prf_calls = output.total_prf_calls();
@@ -317,9 +265,9 @@ impl PirServer for ShardedGpuServer {
     fn plan_ledger(&self) -> PlanLedger {
         PlanLedger {
             resident_bytes: self
-                .backends
+                .executors
                 .iter()
-                .map(|backend| backend.stats().resident_bytes)
+                .map(|executor| executor.stats().resident_bytes)
                 .sum(),
             transfers_issued: self.transfers_issued.load(Ordering::Relaxed),
             transfers_avoided: self.transfers_avoided.load(Ordering::Relaxed),
@@ -334,7 +282,7 @@ impl std::fmt::Debug for ShardedGpuServer {
         f.debug_struct("ShardedGpuServer")
             .field("table", &self.schema.describe())
             .field("prf", &self.prf_kind)
-            .field("shards", &self.backends.len())
+            .field("shards", &self.executors.len())
             .finish()
     }
 }
@@ -422,32 +370,6 @@ mod tests {
             ),
             Err(PirError::InvalidSharding { devices: 0, .. })
         ));
-    }
-
-    #[test]
-    fn host_backend_sharded_server_matches_simulated() {
-        let table = table();
-        let client = PirClient::new(table.schema(), PrfKind::SipHash);
-        let simulated =
-            ShardedGpuServer::with_v100_shards(table.clone(), PrfKind::SipHash, 3).unwrap();
-        let host = ShardedGpuServer::with_backend_kind(
-            table.clone(),
-            PrfKind::SipHash,
-            vec![DeviceSpec::v100(); 3],
-            SchedulerConfig::default(),
-            BackendKind::Host,
-        )
-        .unwrap();
-        let mut rng = StdRng::seed_from_u64(95);
-
-        let indices = [0u64, 77, 511];
-        let queries: Vec<_> = indices.iter().map(|i| client.query(*i, &mut rng)).collect();
-        let to0: Vec<_> = queries.iter().map(|q| q.to_server(0)).collect();
-        let from_sim = simulated.answer_batch(&to0).unwrap();
-        let from_host = host.answer_batch(&to0).unwrap();
-        for (sim, host) in from_sim.iter().zip(&from_host) {
-            assert_eq!(sim.share, host.share, "shares must be backend-independent");
-        }
     }
 
     #[test]

@@ -233,7 +233,7 @@ pub(crate) fn run_batch_former(
             }
         }
 
-        // The lease carries the memory plan's backend-reported resident
+        // The lease carries the memory plan's executor-reported resident
         // footprint for this batch size — the plan (not the serve layer)
         // decides what stays on-device, so telemetry reflects what the
         // backend will actually hold.

@@ -7,7 +7,6 @@
 
 use std::time::Duration;
 
-use gpu_sim::BackendKind;
 use pir_dpf::SchedulerConfig;
 use pir_prf::PrfKind;
 
@@ -141,11 +140,6 @@ pub struct TableConfig {
     pub autoscale: AutoscalePolicy,
     /// Scheduler thresholds applied per shard.
     pub scheduler: SchedulerConfig,
-    /// Device backend every replica of this table evaluates on: the
-    /// analytical cost-model executor (default) or the measured in-process
-    /// host backend. Both produce bit-identical shares; only time
-    /// attribution differs.
-    pub backend: BackendKind,
     /// Batch-formation policy for this table's two batch formers.
     pub batch: BatchPolicy,
     /// SLO priority tiers: per-tenant service classes whose deadlines drive
@@ -172,7 +166,6 @@ impl Default for TableConfig {
             replicas: ReplicaRange::default(),
             autoscale: AutoscalePolicy::default(),
             scheduler: SchedulerConfig::default(),
-            backend: BackendKind::default(),
             batch: BatchPolicy::default(),
             tiers: SloTiers::default(),
         }
@@ -236,13 +229,6 @@ impl TableConfigBuilder {
     #[must_use]
     pub fn scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.config.scheduler = scheduler;
-        self
-    }
-
-    /// Evaluate this table's replicas on the given device backend.
-    #[must_use]
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -476,15 +462,7 @@ mod tests {
         assert!(!config.replicas.is_elastic());
         assert_eq!(config.batch.max_batch, 16);
         assert_eq!(config.batch.max_wait, Duration::from_millis(5));
-        assert_eq!(config.backend, BackendKind::Simulated);
         assert_eq!(TableConfig::default().replicas, ReplicaRange::fixed(1));
-        assert_eq!(TableConfig::default().backend, BackendKind::Simulated);
-
-        let host = TableConfig::builder()
-            .backend(BackendKind::Host)
-            .build()
-            .unwrap();
-        assert_eq!(host.backend, BackendKind::Host);
 
         let elastic = TableConfig::builder()
             .replica_range(1, 4)

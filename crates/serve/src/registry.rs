@@ -8,8 +8,8 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use pir_protocol::{
-    build_replica_with_backend, shard_split_bits, PirClient, PirError, PirResponse, PirServer,
-    PirTable, ServerQuery,
+    build_replica, shard_split_bits, PirClient, PirError, PirResponse, PirServer, PirTable,
+    ServerQuery,
 };
 
 use crate::config::TableConfig;
@@ -176,12 +176,11 @@ impl HostedTable {
             (0..config.replicas.max)
                 .map(|_| {
                     Ok(ReplicaSlot {
-                        server: build_replica_with_backend(
+                        server: build_replica(
                             &table,
                             config.prf_kind,
                             config.shards,
                             config.scheduler,
-                            config.backend,
                         )
                         .map_err(invalid_sharding)?,
                         stats: ReplicaStats::default(),

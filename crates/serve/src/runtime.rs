@@ -109,7 +109,7 @@ impl RuntimeInner {
                         })
                     })
                     .collect();
-                // Memory-plan telemetry: sum each replica's backend-reported
+                // Memory-plan telemetry: sum each replica's executor-reported
                 // ledger — residency and transfer counts come from the
                 // device layer, not from serve-side size math.
                 let plan = hosted
@@ -700,48 +700,80 @@ mod tests {
     }
 
     #[test]
-    fn host_backend_tables_serve_and_report_plan_telemetry() {
+    fn pooled_and_sharded_tables_serve_and_report_plan_telemetry() {
+        fn fill(row: u64, offset: usize) -> u8 {
+            (row as u8).wrapping_mul(29).wrapping_add(offset as u8)
+        }
+        // (name, entries, entry_bytes, shards, replicas): a single-device
+        // table and a 2-shard × 2-replica one.
+        let tables: [(&str, u64, usize, usize, usize); 2] =
+            [("emb", 128, 8, 1, 1), ("hot", 1 << 10, 16, 2, 2)];
+
         let runtime = PirServeRuntime::new(ServeConfig::builder().seed(23).build().unwrap());
-        let table = PirTable::generate(128, 8, |row, _| (row as u8).wrapping_add(7));
-        let config = TableConfig::builder()
-            .prf_kind(PrfKind::SipHash)
-            .backend(gpu_sim::BackendKind::Host)
-            .max_batch(4)
-            .max_wait(Duration::from_millis(1))
-            .build()
-            .unwrap();
-        runtime.register_table("emb", table, config).unwrap();
+        for (name, entries, entry_bytes, shards, replicas) in tables {
+            let table = PirTable::generate(entries, entry_bytes, fill);
+            let config = TableConfig::builder()
+                .prf_kind(PrfKind::SipHash)
+                .shards(shards)
+                .replicas(replicas)
+                .max_batch(4)
+                .max_wait(Duration::from_millis(1))
+                .build()
+                .unwrap();
+            runtime.register_table(name, table, config).unwrap();
+        }
         let handle = runtime.handle();
 
-        for round in 0..2 {
-            let pending: Vec<_> = (0..8u64)
-                .map(|i| (i * 3 % 128, handle.query("emb", "t", i * 3 % 128).unwrap()))
+        // Each round waits for every answer, so every party forms at least
+        // two batches per table per round: over four rounds some replica of
+        // each table serves a repeat batch.
+        for round in 0..4u64 {
+            let pending: Vec<_> = tables
+                .iter()
+                .flat_map(|&(name, entries, entry_bytes, ..)| {
+                    let handle = &handle;
+                    (0..8u64).map(move |i| {
+                        let index = (i * 37 + round * 11) % entries;
+                        let query = handle.query(name, "t", index).unwrap();
+                        (name, index, entry_bytes, query)
+                    })
+                })
                 .collect();
-            for (index, query) in pending {
+            for (name, index, entry_bytes, query) in pending {
                 let row = query.wait().unwrap();
-                assert_eq!(row[0], (index as u8).wrapping_add(7), "round {round}");
+                let expected: Vec<u8> = (0..entry_bytes).map(|o| fill(index, o)).collect();
+                assert_eq!(row, expected, "round {round}: {name} row {index}");
             }
         }
 
         let stats = runtime.stats();
-        let snapshot = stats.table("emb").unwrap();
-        assert_eq!(snapshot.answered, 16);
-        // The 128×8 table fits the default budget, so the plan keeps it
-        // resident: bytes are held on-device, and repeat batches on the same
-        // replica avoid re-uploads while every first batch issues one.
-        let plan = snapshot.plan;
-        assert!(plan.resident_bytes > 0, "table should be plan-resident");
-        assert!(
-            plan.transfers_issued >= 2,
-            "each party uploads at least once"
-        );
-        assert!(
-            plan.plan_cache_hits + plan.plan_cache_misses >= plan.transfers_issued,
-            "every launch consults the plan cache"
-        );
+        for (name, ..) in tables {
+            let snapshot = stats.table(name).unwrap();
+            assert_eq!(snapshot.answered, 32, "{name}");
+            // Both tables fit the default budget, so the plan keeps them
+            // resident: bytes are held on-device, every first batch on a
+            // replica issues an upload, and repeat batches avoid it.
+            let plan = snapshot.plan;
+            assert!(
+                plan.resident_bytes > 0,
+                "{name}: table should be plan-resident"
+            );
+            assert!(
+                plan.transfers_issued >= 2,
+                "{name}: each party uploads at least once"
+            );
+            assert!(
+                plan.transfers_avoided > 0,
+                "{name}: residency must avoid repeat uploads"
+            );
+            assert!(
+                plan.plan_cache_hits + plan.plan_cache_misses >= plan.transfers_issued,
+                "{name}: every launch consults the plan cache"
+            );
+        }
         // Leases returned their resident bytes, but the high-water mark
         // proves the batcher leased the plan's figure while launching.
-        assert_eq!(stats.resident_bytes_in_use, 0);
+        assert_eq!(stats.resident_bytes_in_use, 0, "all leases returned");
         assert!(stats.peak_resident_bytes > 0);
         runtime.shutdown();
     }

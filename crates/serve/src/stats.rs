@@ -118,7 +118,7 @@ pub struct ReplicaStatsSnapshot {
 /// Memory-plan telemetry for one hosted table, aggregated over every
 /// replica of both parties' pools.
 ///
-/// These figures come straight from each replica's backend ledger and plan
+/// These figures come straight from each replica's executor ledger and plan
 /// counters ([`pir_protocol::PirServer::plan_ledger`]) — the serve layer
 /// reports what the device layer measured, it never re-derives sizes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -259,7 +259,7 @@ pub struct StatsSnapshot {
     pub devices_in_use: usize,
     /// The runtime's device budget (`None` = unbounded fleet).
     pub device_budget: Option<usize>,
-    /// Backend-reported resident bytes held by in-flight device leases.
+    /// Executor-reported resident bytes held by in-flight device leases.
     pub resident_bytes_in_use: u64,
     /// High-water mark of resident bytes leased at once since startup.
     pub peak_resident_bytes: u64,
